@@ -64,6 +64,10 @@ def matching_sum(adj):
         memo[live] = acc
         return acc
 
-    if sys.getrecursionlimit() < n + 100:
+    limit = sys.getrecursionlimit()
+    if limit < n + 100:
         sys.setrecursionlimit(n + 100)
-    return go((1 << n) - 1)
+    try:
+        return go((1 << n) - 1)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -38,8 +38,6 @@ from .verify import SUITE_NAMES, format_report, report_record, run_suite
 
 DISPLAY_PRIMES = (2, 3, 5, 7, 29, 31, 37)
 
-_REGIONS = ("fortress", "zigzag", "s1", "s2", "s3", "s4", "q", "tri", "blum", "aztec")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
             "| blum N | aztec FILE N"
         ),
     )
-    count.add_argument("region", choices=_REGIONS)
+    count.add_argument("region", choices=tuple(_COUNTS))
     count.add_argument("params", nargs="*", metavar="PARAM")
     count.add_argument(
         "--bar",
@@ -112,37 +110,47 @@ def _read_pattern_arg(parser: argparse.ArgumentParser, path: str):
         parser.error(f"bad pattern file {path}: {exc}")
 
 
+def _vanishing(exc: ZeroCellFactor, n: int) -> int:
+    step = n - exc.order + 1
+    print(f"step {step} (order {exc.order}): cell {exc.cell} has vanishing factor xz + yw",
+          file=sys.stderr)
+    return 3
+
+
+# Region -> count from (order, variant), band widths for fortress and
+# (pattern, order) for aztec.  The lambdas look each function up by name
+# when called, so a rebound module attribute takes effect.
+_COUNTS = {
+    "fortress": lambda parts, variant: fortress_count(parts, variant),
+    "zigzag": lambda n, variant: zigzag_count(n, variant),
+    **{f"s{f}": (lambda n, _, f=f: s_region_count(f, n)) for f in (1, 2, 3, 4)},
+    "q": lambda n, _: q_count(n),
+    "tri": lambda n, _: tri_count(n),
+    "blum": lambda n, _: blum_value(n),
+    "aztec": lambda pn, _: factorize(evaluate(*pn), DISPLAY_PRIMES),
+}
+
+
 def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
-    region = args.region
+    region, params = args.region, args.params
     if args.bar and region not in ("fortress", "zigzag"):
         parser.error("--bar applies to fortress and zigzag only")
-    variant = "bar" if args.bar else "plain"
-
     if region == "fortress":
-        if not args.params:
+        if not params:
             parser.error("fortress needs band widths, e.g. count fortress 1 2 1")
-        parts = [_int_arg(parser, tok) for tok in args.params]
-        value = fortress_count(parts, variant)
+        arg = [_int_arg(parser, tok) for tok in params]
     elif region == "aztec":
-        if len(args.params) != 2:
+        if len(params) != 2:
             parser.error("aztec needs a pattern file and an order")
-        pattern = _read_pattern_arg(parser, args.params[0])
-        n = _int_arg(parser, args.params[1])
-        value = factorize(evaluate(pattern, n), DISPLAY_PRIMES)
+        arg = (_read_pattern_arg(parser, params[0]), _int_arg(parser, params[1]))
     else:
-        if len(args.params) != 1:
+        if len(params) != 1:
             parser.error(f"{region} takes exactly one order")
-        n = _int_arg(parser, args.params[0])
-        if region == "zigzag":
-            value = zigzag_count(n, variant)
-        elif region == "blum":
-            value = blum_value(n)
-        elif region == "q":
-            value = q_count(n)
-        elif region == "tri":
-            value = tri_count(n)
-        else:
-            value = s_region_count(int(region[1]), n)
+        arg = _int_arg(parser, params[0])
+    try:
+        value = _COUNTS[region](arg, "bar" if args.bar else "plain")
+    except ZeroCellFactor as exc:  # only an aztec pattern can have one
+        return _vanishing(exc, arg[1])
     print(f"{value} = {value.value()}")
     return 0
 
@@ -165,13 +173,7 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     try:
         trace = evaluate_trace(pattern, args.n)
     except ZeroCellFactor as exc:
-        step = args.n - exc.order + 1
-        print(
-            f"step {step} (order {exc.order}): cell {exc.cell} has "
-            "vanishing factor xz + yw",
-            file=sys.stderr,
-        )
-        return 3
+        return _vanishing(exc, args.n)
     for i, (matrix, factor) in enumerate(trace.steps, start=1):
         print(f"step {i:3d} order {matrix.order:3d} factor {factor}")
     print(f"value {trace.value}")

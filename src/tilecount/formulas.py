@@ -3,9 +3,11 @@
 Every count in this module admits two independent computation routes: a
 closed product formula in the region parameters, and a reduction route —
 a known prefactor times the diamond value of a fixed weight pattern,
-computed by :func:`tilecount.aztec.evaluate`.  The functions returning a
-:class:`~tilecount.rational.FactoredValue` re-derive the reduction route
-on every call while the order is small and raise
+computed by :func:`tilecount.aztec.evaluate`.  Each route-checked family
+declares that route once, as a ``*_route`` function (`fortress_route`,
+`zigzag_route`, `s_region_route`, `q_route`, `tri_route`).  The functions
+returning a :class:`~tilecount.rational.FactoredValue` re-derive the
+reduction route on every call while the order is small and raise
 :class:`RouteMismatchError` if the two answers disagree.  Such a mismatch
 can only mean an implementation fault, never bad input, which is why it
 is not a ``ValueError``.
@@ -23,14 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Literal, Optional, Sequence, Union
+from typing import Callable, Literal, Optional, Sequence, Union
 
 from .aztec import evaluate
 from .patterns import (
     composition_bands,
-    four_row,
     q_pattern,
-    quad,
     s_family_pattern,
     tri_pattern,
     zig,
@@ -50,14 +50,19 @@ __all__ = [
     "fortress_gen_fn",
     "fortress_pattern_formula",
     "fortress_prefactor",
+    "fortress_route",
     "n_pattern_value",
     "q_count",
+    "q_route",
     "s_region_count",
+    "s_region_route",
     "tri_count",
+    "tri_route",
     "weighted_rows_formula",
     "yang_fortress",
     "zig_recurrence",
     "zigzag_count",
+    "zigzag_route",
 ]
 
 HALF = Fraction(1, 2)
@@ -83,6 +88,18 @@ def _route_assert(name: str, closed: Fraction, routed: Fraction) -> None:
         raise RouteMismatchError(
             f"{name}: closed form {closed} != reduction route {routed}"
         )
+
+
+def _checked(name: str, value: FactoredValue, order: int, check: Optional[bool],
+             route: Callable[[], Fraction]) -> FactoredValue:
+    """Return ``value`` after comparing it with ``route()``, if ``check`` says
+    so; by default when the route's diamond ``order`` is at most the limit."""
+    if check is None:
+        check = order <= ROUTE_CHECK_LIMIT
+    if check:
+        routed = route()
+        _route_assert(name, value.value(), routed)
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -235,13 +252,17 @@ def fortress_count(
             alpha += 1
         e2 = n * n - 4 * S - alpha if bar else alpha
     value = FactoredValue(1, [(2, e2), (5, S)])
-    if check is None:
-        check = n <= ROUTE_CHECK_LIMIT
-    if check:
-        pattern = composition_bands(comp.parts, HALF, 1, bar=bar)
-        routed = fortress_prefactor(comp, variant).value() * evaluate(pattern, n)
-        _route_assert(f"fortress_count({comp.parts}, {variant})", value.value(), routed)
-    return value
+    return _checked(
+        f"fortress_count({comp.parts}, {variant})", value, n, check,
+        lambda: fortress_route(comp, variant),
+    )
+
+
+def fortress_route(parts: CompositionLike, variant: FortressVariant = "plain") -> Fraction:
+    """Reduction route to `fortress_count`: prefactor times band-pattern value."""
+    comp = _composition(parts)
+    pattern = composition_bands(comp.parts, HALF, 1, bar=_is_bar(variant))
+    return fortress_prefactor(comp, variant).value() * evaluate(pattern, comp.n)
 
 
 def yang_fortress(n: int) -> FactoredValue:
@@ -273,11 +294,7 @@ def fortress_gen_fn(parts: CompositionLike, a: RationalLike, b: RationalLike) ->
     """
     comp = _composition(parts)
     a = Fraction(a)
-    n = comp.n
-    if n % 2 == 0:
-        c_exp = n * n // 2
-    else:
-        c_exp = n * (n - 1) // 2 + comp.theta
+    c_exp = fortress_prefactor(comp).exponent(2)
     return (1 / (2 * a * a)) ** c_exp * fortress_pattern_formula(a, b, comp)
 
 
@@ -547,13 +564,16 @@ def zigzag_count(n: int, variant: FortressVariant = "plain", check: Optional[boo
     bar = _is_bar(variant)
     unit, e = _zig_closed(n, bar)
     value = FactoredValue(unit, [(3, e)])
-    if check is None:
-        check = n <= ROUTE_CHECK_LIMIT
-    if check:
-        pattern = zig(1, HALF) if bar else zig(HALF, 1)
-        routed = Fraction(2) ** _zig_gamma(n, bar) * evaluate(pattern, n)
-        _route_assert(f"zigzag_count({n}, {variant})", value.value(), routed)
-    return value
+    return _checked(
+        f"zigzag_count({n}, {variant})", value, n, check, lambda: zigzag_route(n, variant)
+    )
+
+
+def zigzag_route(n: int, variant: FortressVariant = "plain") -> Fraction:
+    """Reduction route to `zigzag_count`: a power of 2 times the zig value."""
+    bar = _is_bar(variant)
+    pattern = zig(1, HALF) if bar else zig(HALF, 1)
+    return Fraction(2) ** _zig_gamma(n, bar) * evaluate(pattern, n)
 
 
 # --------------------------------------------------------------------------
@@ -660,17 +680,20 @@ def _s_closed(family: int, m: int) -> FactoredValue:
     raise ValueError("family must be 1, 2, 3 or 4")
 
 
-def _s_prefactor(family: int, m: int) -> Fraction:
+def s_region_route(family: int, m: int) -> Fraction:
+    """Reduction route to `s_region_count`: prefactor times the family pattern."""
     k = m // 2
     odd = m % 2 == 1
     if family in (1, 3):
         e = (k + 1) ** 2 + k * k if odd else 2 * k * k
         # family 3 absorbs its cells in two passes of cell-factor 2 and
         # 5/2; family 1 in a single pass of cell-factor 2
-        return Fraction(5) ** e if family == 3 else Fraction(2) ** e
-    if family == 2:
-        return Fraction(2) ** (m * m)
-    return Fraction(2) ** ((k + 1) * (3 * k + 1) if odd else 3 * k * k)
+        pre = Fraction(5) ** e if family == 3 else Fraction(2) ** e
+    elif family == 2:
+        pre = Fraction(2) ** (m * m)
+    else:
+        pre = Fraction(2) ** ((k + 1) * (3 * k + 1) if odd else 3 * k * k)
+    return pre * evaluate(s_family_pattern(family), m)
 
 
 def s_region_count(family: int, n: int, check: Optional[bool] = None) -> FactoredValue:
@@ -682,13 +705,10 @@ def s_region_count(family: int, n: int, check: Optional[bool] = None) -> Factore
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    value = _s_closed(family, n)
-    if check is None:
-        check = n <= ROUTE_CHECK_LIMIT
-    if check:
-        routed = _s_prefactor(family, n) * evaluate(s_family_pattern(family), n)
-        _route_assert(f"s_region_count({family}, {n})", value.value(), routed)
-    return value
+    return _checked(
+        f"s_region_count({family}, {n})", _s_closed(family, n), n, check,
+        lambda: s_region_route(family, n),
+    )
 
 
 def q_count(n: int, check: Optional[bool] = None) -> FactoredValue:
@@ -714,17 +734,17 @@ def q_count(n: int, check: Optional[bool] = None) -> FactoredValue:
     else:
         q = (n - 6) // 8
         value = FactoredValue(1, [(3, 8 * (q + 1) * (2 * q + 1) + 2), (29, (4 * q + 3) ** 2)])
-    if check is None:
-        check = n <= ROUTE_CHECK_LIMIT
-    if check:
-        k = n // 2
-        if n % 2 == 0:
-            prefactor = Fraction(10) ** (2 * k * k)
-        else:
-            prefactor = Fraction(5) ** ((k + 1) ** 2 + k * k) * Fraction(2) ** (2 * k * (k + 1))
-        routed = prefactor * evaluate(q_pattern(), n)
-        _route_assert(f"q_count({n})", value.value(), routed)
-    return value
+    return _checked(f"q_count({n})", value, n, check, lambda: q_route(n))
+
+
+def q_route(n: int) -> Fraction:
+    """Reduction route to `q_count`: prefactor times the octagon pattern value."""
+    k = n // 2
+    if n % 2 == 0:
+        prefactor = Fraction(10) ** (2 * k * k)
+    else:
+        prefactor = Fraction(5) ** ((k + 1) ** 2 + k * k) * Fraction(2) ** (2 * k * (k + 1))
+    return prefactor * evaluate(q_pattern(), n)
 
 
 # --------------------------------------------------------------------------
@@ -740,9 +760,9 @@ def tri_count(n: int, check: Optional[bool] = None) -> FactoredValue:
     if n < 0:
         raise ValueError("order must be nonnegative")
     value = FactoredValue(1, [(3, n * (n + 1)), (2, (n + 1) ** 2)])
-    if check is None:
-        check = 2 * n <= ROUTE_CHECK_LIMIT
-    if check:
-        routed = Fraction(2) ** (3 * n * n + 4 * n + 1) * evaluate(tri_pattern(), 2 * n)
-        _route_assert(f"tri_count({n})", value.value(), routed)
-    return value
+    return _checked(f"tri_count({n})", value, 2 * n, check, lambda: tri_route(n))
+
+
+def tri_route(n: int) -> Fraction:
+    """Reduction route to `tri_count`: a power of 2 times a diamond of order 2n."""
+    return Fraction(2) ** (3 * n * n + 4 * n + 1) * evaluate(tri_pattern(), 2 * n)

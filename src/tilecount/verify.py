@@ -40,15 +40,19 @@ from .formulas import (
     fortress_count,
     fortress_gen_fn,
     fortress_pattern_formula,
-    fortress_prefactor,
+    fortress_route,
     n_pattern_value,
     q_count,
+    q_route,
     s_region_count,
+    s_region_route,
     tri_count,
+    tri_route,
     weighted_rows_formula,
     yang_fortress,
     zig_recurrence,
     zigzag_count,
+    zigzag_route,
 )
 from .graph import (
     WeightedGraph,
@@ -65,7 +69,6 @@ from .patterns import (
     doubled_blocks,
     eight_column,
     four_row,
-    q_pattern,
     quad,
     s_family_pattern,
     tri_pattern,
@@ -269,10 +272,8 @@ def _suite_fortress(rng, n_cap, cases) -> Iterator[VerificationReport]:
         t0 = time.perf_counter()
         parts = _rcomposition(rng, rng.randint(1, n_cap))
         variant = rng.choice(("plain", "bar"))
-        bar = variant == "bar"
         a = fortress_count(parts, variant, check=False).value()
-        pattern = composition_bands(parts, HALF, 1, bar=bar)
-        b = fortress_prefactor(parts, variant).value() * evaluate(pattern, sum(parts))
+        b = fortress_route(parts, variant)
         yield _report("fortress", f"closed-{i}[{_parts_id(parts)},{variant}]", a, b, t0)
     # banded pattern product formula vs reduction, random weights
     for i in range(cases // 2):
@@ -319,9 +320,7 @@ def _suite_zigzag(rng, n_cap, cases) -> Iterator[VerificationReport]:
         for variant in ("plain", "bar"):
             t0 = time.perf_counter()
             a = zigzag_count(n, variant, check=False).value()
-            pattern = zig(1, HALF) if variant == "bar" else zig(HALF, 1)
-            gamma = _zig_gamma_route(n, variant == "bar")
-            b = Fraction(2) ** gamma * evaluate(pattern, n)
+            b = zigzag_route(n, variant)
             yield _report("zigzag", f"closed[n={n},{variant}]", a, b, t0)
     for m in range(n_cap // 3 + 1):
         t0 = time.perf_counter()
@@ -338,15 +337,6 @@ def _suite_zigzag(rng, n_cap, cases) -> Iterator[VerificationReport]:
             a = zig_recurrence(a_w, b_w, n, "bar")
             b = evaluate(zig(b_w, a_w), n)
             yield _report("zigzag", f"recurrence-bar[n={n},a={a_w},b={b_w}]", a, b, t0)
-
-
-def _zig_gamma_route(n: int, bar: bool) -> int:
-    # kept local to the suite: the production path asserts this route
-    # internally, and the suite must not share its code with the thing
-    # it checks.
-    k, r = divmod(n, 4)
-    tail = (0, 4 * k, 8 * k + 1, 12 * k + 4) if bar else (0, 4 * k + 1, 8 * k + 3, 12 * k + 5)
-    return 8 * k * k + tail[r]
 
 
 # --------------------------------------------------------------------------
@@ -397,12 +387,12 @@ def _suite_powers(rng, n_cap, cases) -> Iterator[VerificationReport]:
         for n in range(n_cap + 1):
             t0 = time.perf_counter()
             a = s_region_count(family, n, check=False).value()
-            b = _s_route(family, n)
+            b = s_region_route(family, n)
             yield _report("powers", f"family{family}[n={n}]", a, b, t0)
     for n in range(n_cap + 1):
         t0 = time.perf_counter()
         a = q_count(n, check=False).value()
-        b = _q_route(n)
+        b = q_route(n)
         yield _report("powers", f"octagon[n={n}]", a, b, t0)
     for i in range(cases):
         t0 = time.perf_counter()
@@ -411,28 +401,6 @@ def _suite_powers(rng, n_cap, cases) -> Iterator[VerificationReport]:
         a = abcd_formula(*w, n)
         b = evaluate(quad(*w), n)
         yield _report("powers", f"quad-{i}[n={n}]", a, b, t0)
-
-
-def _s_route(family: int, m: int) -> Fraction:
-    k = m // 2
-    odd = m % 2 == 1
-    if family in (1, 3):
-        e = (k + 1) ** 2 + k * k if odd else 2 * k * k
-        pre = Fraction(5) ** e if family == 3 else Fraction(2) ** e
-    elif family == 2:
-        pre = Fraction(2) ** (m * m)
-    else:
-        pre = Fraction(2) ** ((k + 1) * (3 * k + 1) if odd else 3 * k * k)
-    return pre * evaluate(s_family_pattern(family), m)
-
-
-def _q_route(n: int) -> Fraction:
-    k = n // 2
-    if n % 2 == 0:
-        pre = Fraction(10) ** (2 * k * k)
-    else:
-        pre = Fraction(5) ** ((k + 1) ** 2 + k * k) * Fraction(2) ** (2 * k * (k + 1))
-    return pre * evaluate(q_pattern(), n)
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +437,7 @@ def _suite_tri(rng, n_cap, cases) -> Iterator[VerificationReport]:
     for n in range(n_cap + 1):
         t0 = time.perf_counter()
         a = tri_count(n, check=False).value()
-        b = Fraction(2) ** (3 * n * n + 4 * n + 1) * evaluate(tri_pattern(), 2 * n)
+        b = tri_route(n)
         yield _report("tri", f"closed[n={n}]", a, b, t0)
     for name, pattern, ratio in (
         ("bowtie", tri_pattern(), Fraction(9, 16)),
@@ -687,9 +655,12 @@ def run_suite(
     """Run one named suite (or ``all``) and return its reports.
 
     ``n`` caps region/diamond orders, ``cases`` the number of random
-    cases per sub-family; both default per suite.  The same seed always
-    produces the same case stream.
+    cases per sub-family; both default per suite and must be at least 1
+    when given.  The same seed always produces the same case stream.
     """
+    for label, value in (("n", n), ("cases", cases)):
+        if value is not None and value < 1:
+            raise ValueError(f"{label} must be >= 1, got {value}")
     if name == "all":
         out = []
         for sub in _SUITES:

@@ -69,6 +69,16 @@ def test_count_pattern_file(capsys, tmp_path):
     assert out.strip() == "2^15 = 32768"
 
 
+def test_count_pattern_file_reports_vanishing_cell(capsys, tmp_path):
+    path = tmp_path / "bad.pat"
+    path.write_text(DEGENERATE)
+    code, out, err = run(capsys, "count", "aztec", str(path), "3")
+    assert code == 3
+    assert out == ""
+    assert err == run(capsys, "trace", str(path), "3")[2]
+    assert err.count("\n") == 1
+
+
 def test_count_rejects_bar_elsewhere(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "q", "3", "--bar"])
@@ -120,6 +130,15 @@ def test_verify_records(capsys):
     assert lines
     for line in lines:
         assert parse_record(line).equal
+
+
+@pytest.mark.parametrize("option", ["--n", "--cases"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_rejects_sizes_below_one(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "stanley", option, value])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -36,6 +36,8 @@ from tilecount import (
     zig_recurrence,
     zigzag_count,
 )
+from tilecount import formulas
+from tilecount.formulas import ROUTE_CHECK_LIMIT
 from tilecount.patterns import eight_column, four_row, quad, zig
 
 
@@ -331,6 +333,34 @@ def test_triangle_counts_follow_the_exponent_law():
         assert v.exponent(3) == n * (n + 1)
         assert v.exponent(2) == (n + 1) ** 2
         assert v.unit == 1
+
+
+# -- the default route-check policy -------------------------------------------
+
+# each route-checked count, called as (order, check), with the largest
+# order at which its check runs by default: tri's route runs at 2n
+ROUTE_CHECKED = [
+    ("fortress", lambda n, check: fortress_count((1,) * n, "bar", check), ROUTE_CHECK_LIMIT),
+    ("zigzag", lambda n, check: zigzag_count(n, "bar", check), ROUTE_CHECK_LIMIT),
+    *((f"s{f}", lambda n, check, f=f: s_region_count(f, n, check), ROUTE_CHECK_LIMIT)
+      for f in (1, 2, 3, 4)),
+    ("q", lambda n, check: q_count(n, check), ROUTE_CHECK_LIMIT),
+    ("tri", lambda n, check: tri_count(n, check), ROUTE_CHECK_LIMIT // 2),
+]
+
+
+@pytest.mark.parametrize(
+    "count, limit", [c[1:] for c in ROUTE_CHECKED], ids=[c[0] for c in ROUTE_CHECKED]
+)
+def test_route_check_runs_by_default_up_to_the_limit(monkeypatch, count, limit):
+    # a wrong diamond value must be caught exactly where the check runs
+    monkeypatch.setattr(formulas, "evaluate", lambda pattern, n: Fraction(-1))
+    with pytest.raises(RouteMismatchError):
+        count(limit, None)
+    count(limit + 1, None)
+    count(limit, False)
+    with pytest.raises(RouteMismatchError):
+        count(limit + 1, True)
 
 
 def test_route_mismatch_error_is_a_runtime_error():

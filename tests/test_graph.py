@@ -10,6 +10,7 @@
   * serialization round-trips.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,15 @@ def test_parallel_edges_count_separately():
 def test_zero_weight_edge_contributes_nothing():
     g = _graph([("a", "b", 0)])
     assert matching_gen_fn(g) == 0
+
+
+def test_long_forced_chain_keeps_the_recursion_limit():
+    # the pure kernel recurses once per forced edge; it may raise the
+    # interpreter's recursion limit while it runs, but must put it back
+    limit = sys.getrecursionlimit()
+    path = _graph([(f"v{i}", f"v{i + 1}", 1) for i in range(1199)])
+    assert matching_gen_fn(path, backend="pure") == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_unknown_backend_rejected():

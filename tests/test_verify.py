@@ -6,6 +6,7 @@ healthy tree runs all of them with zero mismatches.  The record format is
 the machine-readable contract, so it must round-trip.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,24 @@ def test_same_seed_same_cases():
     a = run_suite("stanley", cases=4, seed=9)
     b = run_suite("stanley", cases=4, seed=9)
     assert [report_record(r) for r in a] == [report_record(r) for r in b]
+
+
+def test_seed_zero_case_stream_is_pinned():
+    # every case id and both values of every case, in order
+    reports = run_suite("all", seed=0)
+    assert len(reports) == 452
+    lines = "\n".join(report_record(r) for r in reports)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "b4b831a59f5c61e08cbc4d934cf7c07138af75a3fc6535de4de364bf9d9b9588"
+    )
+
+
+@pytest.mark.parametrize("size", [{"n": 0}, {"n": -1}, {"cases": 0}, {"cases": -1}])
+def test_sizes_below_one_rejected(size):
+    with pytest.raises(ValueError):
+        run_suite("stanley", **size)
+    with pytest.raises(ValueError):
+        run_suite("all", **size)
 
 
 def test_unknown_suite_rejected():
