@@ -10,7 +10,9 @@ Three subcommands:
 
 Counts are printed factored over the primes that actually occur in the
 theorems (2, 3, 5, 7, 29, 31, 37), with whatever they do not absorb left
-as a leading unit, followed by the plain value.
+as a leading unit, followed by the plain value.  A plain value (or trace
+factor) longer than the interpreter's int-to-text digit limit is shown as
+an ``(N digits)`` note instead; the factored form is always printed.
 
 Exit status: 0 on success, 2 on usage or input errors, 3 on a
 mathematical mismatch — a failing verify case, a closed form disagreeing
@@ -33,7 +35,7 @@ from .formulas import (
     tri_count,
     zigzag_count,
 )
-from .rational import factorize
+from .rational import factorize, plain_str
 from .verify import SUITE_NAMES, format_report, report_record, run_suite
 
 DISPLAY_PRIMES = (2, 3, 5, 7, 29, 31, 37)
@@ -151,7 +153,7 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
         value = _COUNTS[region](arg, "bar" if args.bar else "plain")
     except ZeroCellFactor as exc:  # only an aztec pattern can have one
         return _vanishing(exc, arg[1])
-    print(f"{value} = {value.value()}")
+    print(f"{value} = {plain_str(value.value())}")
     return 0
 
 
@@ -175,8 +177,8 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
     except ZeroCellFactor as exc:
         return _vanishing(exc, args.n)
     for i, (matrix, factor) in enumerate(trace.steps, start=1):
-        print(f"step {i:3d} order {matrix.order:3d} factor {factor}")
-    print(f"value {trace.value}")
+        print(f"step {i:3d} order {matrix.order:3d} factor {plain_str(factor)}")
+    print(f"value {plain_str(trace.value)}")
     return 0
 
 

@@ -11,8 +11,9 @@ transforming M.  This module provides:
 
   * ``WeightedGraph`` — a multigraph with string vertex ids, optional planar
     coordinates, and Fraction weights;
-  * ``matching_gen_fn`` — exact evaluation of M (compiled kernel when
-    available, pure Python otherwise);
+  * ``matching_gen_fn`` — exact evaluation of M by the branch-and-memoize
+    kernel in ``_matchcore``, the oracle every other route is checked
+    against;
   * local rewrites (forced-edge elimination, vertex splitting, parallel
     merge, star scaling, urban renewal, city replacement), each returning a
     rewritten graph together with a receipt asserting
@@ -24,27 +25,22 @@ Rewrites never mutate their input; they return a fresh graph.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import _matchcore
 
-try:  # compiled twin, absent when built without a C toolchain
-    from . import _matchfast
-except ImportError:  # pragma: no cover
-    _matchfast = None
-
-if os.environ.get("TILECOUNT_PURE") == "1":
-    _matchfast = None
-
 Coord = tuple[Fraction, Fraction]
 
 
 def oracle_backend() -> str:
-    """Name of the kernel the dispatcher will prefer: 'compiled' or 'pure'."""
-    return "compiled" if _matchfast is not None else "pure"
+    """Name of the matching kernel: always 'pure', as there is only one.
+
+    Kept because the benchmark records it with its environment; it goes
+    when the benchmark stops reading it.
+    """
+    return "pure"
 
 
 class WeightedGraph:
@@ -164,13 +160,8 @@ class WeightedGraph:
 # -- matching generating function -----------------------------------------
 
 
-def matching_gen_fn(g: WeightedGraph, backend: Optional[str] = None) -> Fraction:
-    """M(g), exactly.
-
-    ``backend`` may be 'pure' or 'compiled' to force a kernel; by default
-    the compiled kernel is used when present and the graph fits in its
-    64-vertex word, with the pure kernel as fallback.
-    """
+def matching_gen_fn(g: WeightedGraph) -> Fraction:
+    """M(g), exactly."""
     ids = g.vertices()
     index = {vid: i for i, vid in enumerate(ids)}
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in ids]
@@ -178,19 +169,7 @@ def matching_gen_fn(g: WeightedGraph, backend: Optional[str] = None) -> Fraction
         iu, iv = index[u], index[v]
         adj[iu].append((iv, w))
         adj[iv].append((iu, w))
-
-    if backend is None:
-        if _matchfast is not None and len(ids) <= _matchfast.MAX_VERTICES:
-            backend = "compiled"
-        else:
-            backend = "pure"
-    if backend == "compiled":
-        if _matchfast is None:
-            raise ValueError("compiled kernel not available")
-        return _matchfast.matching_sum(adj)
-    if backend == "pure":
-        return _matchcore.matching_sum(adj)
-    raise ValueError(f"unknown backend: {backend!r}")
+    return _matchcore.matching_sum(adj)
 
 
 # -- rewrites ---------------------------------------------------------------

@@ -15,12 +15,40 @@ not just its size.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+
+_LOG10_2 = 0.30102999566398120
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``abs(n)``, found without converting it to text."""
+    n = abs(n)
+    d = int(n.bit_length() * _LOG10_2) + 1  # the count, or one too many
+    return d - 1 if d > 1 and n < 10 ** (d - 1) else d
+
+
+def plain_str(x: RationalLike) -> str:
+    """``str`` of a rational, or a short ``(N digits)`` note in its place.
+
+    The note stands in when the numerator or the denominator has more
+    digits than the interpreter turns into text
+    (``sys.get_int_max_str_digits()``, 4300 by default); a fraction's note
+    gives both counts, as ``(N/M digits)``.
+    """
+    x = Fraction(x)
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+    digits = [_digit_count(p) for p in parts]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(digits) > limit:
+        sign = "-" if x < 0 else ""
+        return f"{sign}({'/'.join(map(str, digits))} digits)"
+    return str(x)
 
 
 def _is_prime(p: int) -> bool:
@@ -104,7 +132,7 @@ class FactoredValue:
     def __str__(self) -> str:
         parts = []
         if self.unit != 1 or not self.powers:
-            parts.append(str(self.unit))
+            parts.append(plain_str(self.unit))
         for p, e in self.powers:
             parts.append(f"{p}^{e}")
         return " * ".join(parts)

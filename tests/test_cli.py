@@ -1,10 +1,13 @@
 """Command-line contract: output strings and exit statuses.
 
 0 on success, 2 on usage or input errors, 3 on mathematical mismatch
-(failing verify case or vanishing cell factor while tracing).
+(failing verify case or vanishing cell factor while tracing).  A value too
+long to print in full is a success: it prints factored, with an
+``(N digits)`` note for the plain value.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import tilecount
+from tilecount import evaluate, q_count
+from tilecount.aztec import parse_pattern
 from tilecount.cli import main
 from tilecount.verify import parse_record
 
@@ -79,6 +84,16 @@ def test_count_pattern_file_reports_vanishing_cell(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_count_too_long_to_print_in_full(capsys, tmp_path, digit_limit_640):
+    code, out, err = run(capsys, "count", "q", "40")
+    assert (code, out, err) == (0, f"{q_count(40)} = (776 digits)\n", "")
+    # 11^650 stays in the unit, so the factored form carries a note too
+    path = tmp_path / "elevens.pat"
+    path.write_text("2 2\n11 11\n11 11\n")
+    code, out, err = run(capsys, "count", "aztec", str(path), "25")
+    assert (code, out, err) == (0, "(677 digits) * 2^325 = (775 digits)\n", "")
+
+
 def test_count_rejects_bar_elsewhere(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "q", "3", "--bar"])
@@ -141,6 +156,21 @@ def test_verify_rejects_sizes_below_one(capsys, option, value):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_verify_oracle_reaches_order_six(capsys):
+    code, out, _ = run(capsys, "verify", "oracle-vs-reduce", "--n", "6")
+    assert code == 0
+    orders = [int(n) for n in re.findall(r"\[n=(\d+)\]", out)]
+    assert len(orders) == 12
+    assert max(orders) == 6
+
+
+def test_verify_oracle_refuses_orders_above_its_ceiling(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "oracle-vs-reduce", "--n", "7"])
+    assert exc.value.code == 2
+    assert "n must be <= 6" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])
@@ -156,6 +186,21 @@ def test_trace(capsys, tmp_path):
     assert lines[0].split() == ["step", "1", "order", "2", "factor", "16"]
     assert lines[1].split() == ["step", "2", "order", "1", "factor", "1/2"]
     assert lines[-1] == "value 8"
+
+
+def test_trace_too_long_to_print_in_full(capsys, tmp_path, digit_limit_640):
+    # at order 12 the first step's factor is (2 * 10^6)^144, 908 digits,
+    # and the second's denominator has 763; the value fits
+    text = "2 2\n1000 1000\n1000 1000\n"
+    path = tmp_path / "thousands.pat"
+    path.write_text(text)
+    code, out, err = run(capsys, "trace", str(path), "12")
+    lines = out.strip().splitlines()
+    assert (code, err) == (0, "")
+    assert len(lines) == 13
+    assert lines[0].split() == ["step", "1", "order", "12", "factor", "(908", "digits)"]
+    assert lines[1].split() == ["step", "2", "order", "11", "factor", "(1/763", "digits)"]
+    assert lines[-1] == f"value {evaluate(parse_pattern(text), 12)}"
 
 
 def test_trace_reports_vanishing_cell(capsys, tmp_path):

@@ -5,7 +5,9 @@
     with every declared prime fully extracted from the unit;
   * zero exponents never survive construction, so equal values factored
     over the same primes compare equal;
-  * times() merges prime lists keeping the left operand's display order.
+  * times() merges prime lists keeping the left operand's display order;
+  * a numerator or denominator too long for the interpreter's int-to-text
+    limit prints as an ``(N digits)`` note, also inside a factored value.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tilecount import FactoredValue, factorize
+from tilecount.rational import plain_str
 
 
 def test_value_reconstructs_product():
@@ -93,3 +96,11 @@ def test_factorize_round_trips(v):
 def test_times_is_multiplicative(a, b):
     fa, fb = factorize(a, (2, 3)), factorize(b, (3, 5))
     assert fa.times(fb).value() == a * b
+
+
+def test_plain_str_notes_what_is_too_long_to_print(digit_limit_640):
+    assert plain_str(10**640 - 1) == "9" * 640
+    assert plain_str(10**640) == "(641 digits)"
+    assert plain_str(-(10**700)) == "-(701 digits)"
+    assert plain_str(Fraction(3, 10**650)) == "(1/651 digits)"
+    assert str(FactoredValue(10**640 + 1, [(2, 3)])) == "(641 digits) * 2^3"

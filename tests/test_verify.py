@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from tilecount import VerificationReport, run_suite
+from tilecount import VerificationReport, run_suite, verify
 from tilecount.verify import (
+    ORACLE_ORDER_CEILING,
     SUITE_NAMES,
     format_report,
     parse_record,
@@ -58,6 +59,29 @@ def test_sizes_below_one_rejected(size):
         run_suite("stanley", **size)
     with pytest.raises(ValueError):
         run_suite("all", **size)
+
+
+def test_oracle_order_ceiling(monkeypatch):
+    # run by name, an order above the ceiling is refused; under "all" the
+    # ceiling caps the oracle suite and every other suite gets n as given
+    with pytest.raises(ValueError, match=f"<= {ORACLE_ORDER_CEILING}"):
+        run_suite("oracle-vs-reduce", n=ORACLE_ORDER_CEILING + 1)
+    seen = {}
+
+    def recorder(name):
+        def suite(rng, n, cases):
+            seen[name] = n
+            return iter(())
+
+        return suite
+
+    for name in list(verify._SUITES):
+        monkeypatch.setitem(verify._SUITES, name, recorder(name))
+    run_suite("all", n=ORACLE_ORDER_CEILING + 3)
+    assert seen == {
+        name: ORACLE_ORDER_CEILING if name == "oracle-vs-reduce" else ORACLE_ORDER_CEILING + 3
+        for name in verify._SUITES
+    }
 
 
 def test_unknown_suite_rejected():
