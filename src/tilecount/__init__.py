@@ -48,7 +48,6 @@ from .formulas import (
     zigzag_count,
 )
 from .graph import (
-    RewriteReceipt,
     WeightedGraph,
     city_replace,
     eliminate_forced,
@@ -69,7 +68,6 @@ __all__ = [
     "FactoredValue",
     "Rational",
     "ReductionTrace",
-    "RewriteReceipt",
     "RouteMismatchError",
     "VerificationReport",
     "WeightMatrix",

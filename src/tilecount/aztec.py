@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .rational import RationalLike
+from .rational import RationalLike, frac_str
 
 
 class ZeroCellFactor(ArithmeticError):
@@ -389,5 +389,5 @@ def read_pattern(path) -> WeightPattern:
 def format_pattern(pattern: WeightPattern) -> str:
     lines = [f"{pattern.k} {pattern.l}"]
     for row in pattern.rows:
-        lines.append(" ".join(f"{x.numerator}/{x.denominator}" for x in row))
+        lines.append(" ".join(map(frac_str, row)))
     return "\n".join(lines) + "\n"

@@ -12,11 +12,13 @@ Counts are printed factored over the primes that actually occur in the
 theorems (2, 3, 5, 7, 29, 31, 37), with whatever they do not absorb left
 as a leading unit, followed by the plain value.  A plain value (or trace
 factor) longer than the interpreter's int-to-text digit limit is shown as
-an ``(N digits)`` note instead; the factored form is always printed.
+an ``(N digits)`` note instead.  A count whose factored form bounds it
+above ``MAX_VALUE_BITS`` bits is refused, with nothing printed to stdout.
 
-Exit status: 0 on success, 2 on usage or input errors, 3 on a
-mathematical mismatch — a failing verify case, a closed form disagreeing
-with its reduction route, or a vanishing cell factor while tracing.
+Exit status: 0 on success, 2 on usage or input errors and refused counts,
+3 on a mathematical mismatch — a failing verify case, a closed form
+disagreeing with its reduction route, or a vanishing cell factor while
+tracing.
 """
 
 from __future__ import annotations
@@ -35,10 +37,16 @@ from .formulas import (
     tri_count,
     zigzag_count,
 )
-from .rational import factorize, plain_str
+from .rational import FactoredValue, factorize, plain_str
 from .verify import SUITE_NAMES, format_report, report_record, run_suite
 
 DISPLAY_PRIMES = (2, 3, 5, 7, 29, 31, 37)
+
+#: Largest count, in bits, that ``count`` builds to print in plain form.
+#: Building the value costs more than linear time in its size (zigzag order
+#: 5000, at about 1.3e7 bits, sits just under the bound), so a count whose
+#: factored form says it may be larger is refused before any of that work.
+MAX_VALUE_BITS = 2**24
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +137,7 @@ _COUNTS = {
     "q": lambda n, _: q_count(n),
     "tri": lambda n, _: tri_count(n),
     "blum": lambda n, _: blum_value(n),
-    "aztec": lambda pn, _: factorize(evaluate(*pn), DISPLAY_PRIMES),
+    "aztec": lambda pn, _: evaluate(*pn),
 }
 
 
@@ -153,8 +161,26 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
         value = _COUNTS[region](arg, "bar" if args.bar else "plain")
     except ZeroCellFactor as exc:  # only an aztec pattern can have one
         return _vanishing(exc, arg[1])
+    if region == "aztec":
+        if value == 0:  # no tilings: there is nothing to factor
+            print("0 = 0")
+            return 0
+        value = factorize(value, DISPLAY_PRIMES)
+    bits = _bit_bound(value)
+    if bits > MAX_VALUE_BITS:
+        print(f"count too large to build: up to {bits} bits, over the bound of "
+              f"{MAX_VALUE_BITS} bits", file=sys.stderr)
+        return 2
     print(f"{value} = {plain_str(value.value())}")
     return 0
+
+
+def _bit_bound(value: FactoredValue) -> int:
+    """Upper bound on the bits of the numerator and denominator together,
+    read from the exponents without building the value."""
+    unit = value.unit
+    return (unit.numerator.bit_length() + unit.denominator.bit_length()
+            + sum(abs(e) * p.bit_length() for p, e in value.powers))
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:

@@ -15,9 +15,8 @@ transforming M.  This module provides:
     kernel in ``_matchcore``, the oracle every other route is checked
     against;
   * local rewrites (forced-edge elimination, vertex splitting, parallel
-    merge, star scaling, urban renewal, city replacement), each returning a
-    rewritten graph together with a receipt asserting
-    ``M(before) == factor * M(after)``;
+    merge, star scaling, urban renewal, city replacement), each returning
+    ``(graph, factor)`` with ``M(before) == factor * M(after)``;
   * a plain text serialization.
 
 Rewrites never mutate their input; they return a fresh graph.
@@ -25,11 +24,11 @@ Rewrites never mutate their input; they return a fresh graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import _matchcore
+from .rational import frac_str
 
 Coord = tuple[Fraction, Fraction]
 
@@ -175,16 +174,6 @@ def matching_gen_fn(g: WeightedGraph) -> Fraction:
 # -- rewrites ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteReceipt:
-    """Record of one rewrite: M(before) == factor * M(after)."""
-
-    op: str
-    factor: Fraction
-    removed: tuple[str, ...] = ()
-    added: tuple[str, ...] = ()
-
-
 def eliminate_forced(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
     """Strip forced edges: M(g) == factor * M(result).
 
@@ -213,7 +202,7 @@ def eliminate_forced(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
 
 def vertex_split(
     g: WeightedGraph, v: str, first: Iterable[str]
-) -> tuple[WeightedGraph, RewriteReceipt]:
+) -> tuple[WeightedGraph, Fraction]:
     """Split ``v`` into two copies joined through a fresh middle vertex.
 
     ``first`` names the neighbours whose edges follow the first copy; the
@@ -240,15 +229,10 @@ def vertex_split(
     out.add_edge(right, middle, 1)
     for u, w in nbrs:
         out.add_edge(left if u in first else right, u, w)
-    return out, RewriteReceipt(
-        op="vertex_split",
-        factor=Fraction(1),
-        removed=(v,),
-        added=(left, right, middle),
-    )
+    return out, Fraction(1)
 
 
-def merge_parallel(g: WeightedGraph) -> tuple[WeightedGraph, RewriteReceipt]:
+def merge_parallel(g: WeightedGraph) -> tuple[WeightedGraph, Fraction]:
     """Collapse parallel edges, summing weights.  Factor 1."""
     out = WeightedGraph()
     for vid in g.vertices():
@@ -263,12 +247,12 @@ def merge_parallel(g: WeightedGraph) -> tuple[WeightedGraph, RewriteReceipt]:
         sums[key] += w
     for u, v in order:
         out.add_edge(u, v, sums[(u, v)])
-    return out, RewriteReceipt(op="merge_parallel", factor=Fraction(1))
+    return out, Fraction(1)
 
 
 def star_scale(
     g: WeightedGraph, v: str, t
-) -> tuple[WeightedGraph, RewriteReceipt]:
+) -> tuple[WeightedGraph, Fraction]:
     """Multiply every edge at ``v`` by ``t``: M(before) == (1/t) * M(after).
 
     Every perfect matching uses exactly one edge at ``v``, so scaling the
@@ -284,7 +268,7 @@ def star_scale(
         out.add_vertex(vid, g.coord(vid))
     for a, b, w in g.edges():
         out.add_edge(a, b, w * t if v in (a, b) else w)
-    return out, RewriteReceipt(op="star_scale", factor=Fraction(1) / t)
+    return out, 1 / t
 
 
 def _check_cycle(g: WeightedGraph, cycle: Sequence[str]) -> list[Fraction]:
@@ -328,8 +312,8 @@ def urban_renewal(
     outer: Sequence[str],
     inner: Sequence[str],
     variant: str = "a",
-) -> tuple[WeightedGraph, RewriteReceipt]:
-    """Replace a small attached figure, preserving M up to the receipt factor.
+) -> tuple[WeightedGraph, Fraction]:
+    """Replace a small attached figure: M(before) == factor * M(after).
 
     Variant "a": ``inner = (w1, w2, w3, w4)`` is a 4-cycle with weights
     x = w1w2, y = w2w3, z = w3w4, t = w4w1, attached to the rest of the
@@ -374,9 +358,7 @@ def urban_renewal(
         out.add_edge(b, c, t / delta)
         out.add_edge(c, d, x / delta)
         out.add_edge(d, a, y / delta)
-        return out, RewriteReceipt(
-            op="urban_renewal.a", factor=delta, removed=tuple(inner)
-        )
+        return out, delta
 
     if variant == "b":
         if len(outer) != 3 or len(inner) != 3:
@@ -407,12 +389,7 @@ def urban_renewal(
         out.add_edge(fresh, c, half)
         out.add_edge(b, a, half)
         out.add_edge(b, c, half)
-        return out, RewriteReceipt(
-            op="urban_renewal.b",
-            factor=Fraction(2),
-            removed=tuple(inner),
-            added=(fresh,),
-        )
+        return out, Fraction(2)
 
     if variant == "c":
         if len(outer) != 2 or len(inner) != 4:
@@ -446,12 +423,7 @@ def urban_renewal(
         out.add_edge(a, d1, Fraction(1, 2))
         out.add_edge(d1, d2, 1)
         out.add_edge(d2, b, 1)
-        return out, RewriteReceipt(
-            op="urban_renewal.c",
-            factor=Fraction(2),
-            removed=tuple(inner),
-            added=(d1, d2),
-        )
+        return out, Fraction(2)
 
     raise ValueError(f"unknown variant: {variant!r}")
 
@@ -461,7 +433,7 @@ def city_replace(
     equator: Sequence[str],
     north: Sequence[str],
     south: Sequence[str],
-) -> tuple[WeightedGraph, RewriteReceipt]:
+) -> tuple[WeightedGraph, Fraction]:
     """Replace an extended city of order k by a regular city on its ports.
 
     The extended city consists of equator vertices e_0..e_k and tip
@@ -536,19 +508,10 @@ def city_replace(
         out.add_edge(ports[north[i - 1]], new_equator[i], w)
         out.add_edge(new_equator[i - 1], ports[south[i - 1]], w)
         out.add_edge(ports[south[i - 1]], new_equator[i], w)
-    return out, RewriteReceipt(
-        op="city_replace",
-        factor=(2 * x * x) ** k,
-        removed=tuple(city),
-        added=tuple(fresh),
-    )
+    return out, (2 * x * x) ** k
 
 
 # -- serialization ----------------------------------------------------------
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def to_text(g: WeightedGraph) -> str:
@@ -560,9 +523,9 @@ def to_text(g: WeightedGraph) -> str:
         if coord is None:
             lines.append(f"v {vid}")
         else:
-            lines.append(f"v {vid} {_fmt_frac(coord[0])} {_fmt_frac(coord[1])}")
+            lines.append(f"v {vid} {frac_str(coord[0])} {frac_str(coord[1])}")
     for u, v, w in g.edges():
-        lines.append(f"e {u} {v} {_fmt_frac(w)}")
+        lines.append(f"e {u} {v} {frac_str(w)}")
     return "\n".join(lines) + "\n"
 
 

@@ -51,6 +51,11 @@ def plain_str(x: RationalLike) -> str:
     return str(x)
 
 
+def frac_str(x: Fraction) -> str:
+    """Exact ``num/den`` text of a rational, with the denominator always shown."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

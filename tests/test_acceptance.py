@@ -20,7 +20,7 @@ verbose run (or -s) reads as a checklist.  The guarantees:
       prefactored reduction routes
   10  the quad, doubled-block, and eight-column closed forms equal the
       reduction on random weights
-  11  every rewrite receipt and scaling contract holds on random
+  11  every rewrite factor and scaling contract holds on random
       embeddings
   12  factored answers have the promised shapes (powers of 5, of 3, of
       {3, 29})
@@ -302,7 +302,7 @@ def test_11_rewrite_receipts_and_scaling():
         assert sum(r.case.startswith(op) for r in reports) == 25, op
     for kind in ("scale-sep", "scale-pair", "scale-cell"):
         assert any(r.case.startswith(kind) for r in reports), kind
-    _passed("rewrite receipts (25 embeddings per op) and scaling contracts")
+    _passed("rewrite factors (25 embeddings per op) and scaling contracts")
 
 
 def test_12_factored_shapes():

@@ -3,21 +3,23 @@
 0 on success, 2 on usage or input errors, 3 on mathematical mismatch
 (failing verify case or vanishing cell factor while tracing).  A value too
 long to print in full is a success: it prints factored, with an
-``(N digits)`` note for the plain value.
+``(N digits)`` note for the plain value.  A count too large to build at
+all is refused with 2 before its value is built.
 """
 
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tilecount
-from tilecount import evaluate, q_count
+from tilecount import FactoredValue, evaluate, q_count, s_region_count, zigzag_count
 from tilecount.aztec import parse_pattern
-from tilecount.cli import main
+from tilecount.cli import MAX_VALUE_BITS, _bit_bound, main
 from tilecount.verify import parse_record
 
 ONES = "2 2\n1 1\n1 1\n"
@@ -92,6 +94,37 @@ def test_count_too_long_to_print_in_full(capsys, tmp_path, digit_limit_640):
     path.write_text("2 2\n11 11\n11 11\n")
     code, out, err = run(capsys, "count", "aztec", str(path), "25")
     assert (code, out, err) == (0, "(677 digits) * 2^325 = (775 digits)\n", "")
+
+
+def test_count_pattern_file_without_tilings(capsys, tmp_path):
+    # the one cell has xz + yw = 1*0 + 0*1 = 0: no tilings, nothing to factor
+    path = tmp_path / "none.pat"
+    path.write_text("2 2\n1 0\n1 0\n")
+    assert run(capsys, "count", "aztec", str(path), "1") == (0, "0 = 0\n", "")
+
+
+def test_count_refuses_values_over_the_size_bound(capsys, monkeypatch):
+    code, out, err = run(capsys, "count", "zigzag", "2000")
+    assert (code, out, err) == (0, "3^1333333 = (636162 digits)\n", "")
+
+    def unbuilt(self):
+        raise AssertionError("the value was built")
+
+    monkeypatch.setattr(FactoredValue, "value", unbuilt)
+    code, out, err = run(capsys, "count", "zigzag", "100000")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"{MAX_VALUE_BITS} bits" in err
+
+
+def test_size_bound_covers_the_value():
+    for v in (
+        q_count(40),
+        zigzag_count(7, "bar"),
+        s_region_count(2, 9),
+        FactoredValue(Fraction(7, 12), [(2, -5), (3, 4), (31, 2)]),
+    ):
+        x = v.value()
+        assert x.numerator.bit_length() + x.denominator.bit_length() <= _bit_bound(v)
 
 
 def test_count_rejects_bar_elsewhere(capsys):

@@ -7,6 +7,7 @@ the machine-readable contract, so it must round-trip.
 """
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,15 @@ def test_seed_zero_case_stream_is_pinned():
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "b4b831a59f5c61e08cbc4d934cf7c07138af75a3fc6535de4de364bf9d9b9588"
     )
+
+
+def test_run_suite_stamps_suite_and_runtime():
+    start = time.perf_counter()
+    reports = run_suite("stanley", n=3, cases=3, seed=1)
+    wall = time.perf_counter() - start
+    assert reports and all(r.suite == "stanley" for r in reports)
+    assert all(r.runtime >= 0 for r in reports)
+    assert sum(r.runtime for r in reports) <= wall
 
 
 @pytest.mark.parametrize("size", [{"n": 0}, {"n": -1}, {"cases": 0}, {"cases": -1}])
