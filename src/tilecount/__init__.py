@@ -5,7 +5,8 @@ Layers, from the ground up:
   * ``graph``    — weighted graphs, the matching generating function M, and
                    factor-preserving local rewrites;
   * ``aztec``    — diamond weight matrices/patterns and the order-lowering
-                   reduction that evaluates M in polynomial time;
+                   reduction that evaluates M in polynomial time, on a
+                   tiled pattern without building its matrix;
   * ``patterns`` — the named weight patterns behind the product theorems;
   * ``regions``  — dual graphs of concrete regions (diamonds, fortresses,
                    brick walls);
@@ -16,9 +17,11 @@ Layers, from the ground up:
 
 from .aztec import (
     ReductionTrace,
+    TiledPattern,
     WeightMatrix,
     WeightPattern,
     ZeroCellFactor,
+    cell_powers,
     delta_pattern,
     evaluate,
     evaluate_matrix,
@@ -60,15 +63,17 @@ from .graph import (
     urban_renewal,
     vertex_split,
 )
-from .rational import FactoredValue, Rational, factorize
+from .rational import FactoredValue, PowerProduct, Rational, factorize
 from .verify import VerificationReport, run_suite
 
 __all__ = [
     "Composition",
     "FactoredValue",
+    "PowerProduct",
     "Rational",
     "ReductionTrace",
     "RouteMismatchError",
+    "TiledPattern",
     "VerificationReport",
     "WeightMatrix",
     "WeightPattern",
@@ -78,6 +83,7 @@ __all__ = [
     "blockC_formula",
     "blum_recurrence_check",
     "blum_value",
+    "cell_powers",
     "city_replace",
     "delta_pattern",
     "eliminate_forced",

@@ -10,38 +10,49 @@ u - v + n + 1/2, both 1-based.  Under this indexing each 2x2 block
     [ y  z ]      y = left,               z = bottom,
 
 collects the four edges of one unit cell, and the matching generating
-function of the whole graph satisfies a one-step reduction: replace every
-block by [[z, y], [w, x]] / (xz + yw), multiply the running factor by the
-product of the cell values xz + yw, and keep the interior
-(2n-2) x (2n-2) window.  Iterating down to order 1 evaluates M exactly in
-O(n^3) arithmetic operations — this is the workhorse the closed-form
-theorems are checked against.
+function of the whole graph satisfies a one-step reduction (Ciucu's
+Reduction Theorem): replace every block by [[z, y], [w, x]] / (xz + yw),
+multiply the running factor by the product of the cell values xz + yw,
+and keep the interior (2n-2) x (2n-2) window.  Iterating down to order 1
+evaluates M exactly; on an arbitrary matrix that is O(n^3) arithmetic
+operations (``evaluate_matrix``).
 
 A *weight pattern* is a k x l matrix (k, l even) tiled periodically over
 the 2n x 2n weight matrix from its top-left corner.  The same block step
 acts on patterns directly: transform the blocks, then shift rows up and
-columns left by one, cyclically.  On the matrix this shift is the interior
-window, so pattern-level orbits predict matrix-level reductions.
+columns left by one, cyclically (``delta_pattern``).  On the matrix this
+shift is the interior window, so reducing ``tile_pattern(P, n)`` gives
+``tile_pattern(delta_pattern(P), n - 1)``, and every block of the matrix
+is a copy of one block of P.  ``evaluate`` therefore never builds the
+matrix: each step raises each pattern block's cell value to the number of
+matrix blocks that copy it, O(k l) operations, and the value is the
+product of those powers over all n steps, built once at the end.  This is
+generalized domino shuffling (Propp, TCS 303, 2003).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence, Union
 
-from .rational import RationalLike, frac_str
+from .rational import PowerProduct, RationalLike, frac_str
 
 
 class ZeroCellFactor(ArithmeticError):
-    """A reduction step hit a cell with xz + yw == 0."""
+    """A reduction step hit a cell with xz + yw == 0.
 
-    def __init__(self, order: int, cell: tuple[int, int]):
+    ``order`` is the order of the step, or None for ``delta_pattern``, which
+    transforms a pattern without tiling it at any order.
+    """
+
+    def __init__(self, order: Optional[int], cell: tuple[int, int]):
         self.order = order
         self.cell = cell
-        super().__init__(
-            f"cell {cell} at order {order} has vanishing factor xz + yw"
-        )
+        at = "" if order is None else f" at order {order}"
+        super().__init__(f"cell {cell}{at} has vanishing factor xz + yw")
 
 
 def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -129,12 +140,37 @@ def tile_pattern(pattern: WeightPattern, n: int) -> WeightMatrix:
     )
 
 
-def _block_transform(rows, order_for_error):
-    """Apply the cell step to every 2x2 block; return (new rows, factor)."""
+class TiledPattern:
+    """A pattern tiled over the order-n diamond, without the 2n x 2n matrix.
+
+    ``rows`` keeps the part of the pattern that the matrix uses, its first
+    min(k, 2n) rows and min(l, 2n) columns; the matrix is the periodic
+    tiling of ``rows``.  So every block of ``rows`` occurs in the matrix.
+    """
+
+    __slots__ = ("rows", "order")
+
+    def __init__(self, pattern: WeightPattern, order: int):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        self.rows = tuple(row[: 2 * order] for row in pattern.rows[: 2 * order])
+        self.order = order
+
+    def __repr__(self):
+        return f"TiledPattern(order {self.order})"
+
+
+def _block_transform(rows, order):
+    """Apply the cell step to every 2x2 block.
+
+    Returns the new rows and the cell values ``xz + yw`` as a list of block
+    rows.  A vanishing cell raises ``ZeroCellFactor`` with ``order`` and the
+    first such block in row-major order.
+    """
     half_r = len(rows) // 2
     half_c = len(rows[0]) // 2
     out = [[None] * len(rows[0]) for _ in rows]
-    factor = Fraction(1)
+    cells = [[None] * half_c for _ in range(half_r)]
     for bi in range(half_r):
         for bj in range(half_c):
             x = rows[2 * bi][2 * bj]
@@ -143,54 +179,74 @@ def _block_transform(rows, order_for_error):
             z = rows[2 * bi + 1][2 * bj + 1]
             delta = x * z + y * w
             if delta == 0:
-                raise ZeroCellFactor(order_for_error, (bi, bj))
-            factor *= delta
+                raise ZeroCellFactor(order, (bi, bj))
+            cells[bi][bj] = delta
             out[2 * bi][2 * bj] = z / delta
             out[2 * bi][2 * bj + 1] = y / delta
             out[2 * bi + 1][2 * bj] = w / delta
             out[2 * bi + 1][2 * bj + 1] = x / delta
-    return out, factor
+    return out, cells
+
+
+def _shifted(rows) -> WeightPattern:
+    """The pattern whose entry (i, j) is rows[i + 1][j + 1], cyclically."""
+    k, l = len(rows), len(rows[0])
+    return WeightPattern(
+        [[rows[(i + 1) % k][(j + 1) % l] for j in range(l)] for i in range(k)]
+    )
 
 
 def delta_pattern(pattern: WeightPattern) -> WeightPattern:
     """The pattern-level reduction step: block transform, then cyclic shift
     of rows up by one and columns left by one."""
-    k, l = pattern.k, pattern.l
-    transformed, _ = _block_transform(pattern.rows, -1)
-    return WeightPattern(
-        [
-            [transformed[(i + 1) % k][(j + 1) % l] for j in range(l)]
-            for i in range(k)
-        ]
-    )
+    return _shifted(_block_transform(pattern.rows, None)[0])
 
 
-def reduce_step(m: WeightMatrix) -> tuple[WeightMatrix, Fraction]:
-    """One matrix-level reduction: M(m) == factor * M(result), where the
-    result is the interior window of the block-transformed matrix and the
-    factor is the product of all cell values xz + yw."""
+def reduce_step(m: Union[WeightMatrix, TiledPattern]):
+    """One reduction step at order n >= 2.
+
+    On a ``WeightMatrix``: M(m) == factor * M(result), where the result is
+    the interior window of the block-transformed matrix and the factor is
+    the product of all cell values xz + yw; returns (result, factor).
+
+    On a ``TiledPattern``: the same step, taken on the pattern.  Returns the
+    pattern tiled at order n - 1 and the step's cell powers ``{xz + yw: c}``,
+    c being the number of matrix blocks that copy the pattern block; the
+    step's factor is the product of v^c.
+    """
     n = m.order
     if n < 2:
         raise ValueError("reduce_step needs order >= 2")
-    transformed, factor = _block_transform(m.rows, n)
+    transformed, cells = _block_transform(m.rows, n)
+    if isinstance(m, TiledPattern):
+        # matrix block rows bi < n copying pattern block row a, and columns
+        rows_used = [-((a - n) // len(cells)) for a in range(len(cells))]
+        cols_used = [-((b - n) // len(cells[0])) for b in range(len(cells[0]))]
+        powers = Counter()
+        for row, r in zip(cells, rows_used):
+            for v, c in zip(row, cols_used):
+                powers[v] += r * c
+        return TiledPattern(_shifted(transformed), n - 1), powers
     inner = [
         [transformed[i + 1][j + 1] for j in range(2 * n - 2)]
         for i in range(2 * n - 2)
     ]
+    factor = prod((v for row in cells for v in row), start=Fraction(1))
     return WeightMatrix(inner), factor
 
 
-def _order_one_value(m: WeightMatrix) -> Fraction:
+def _order_one_value(m) -> Fraction:
     r = m.rows
     return r[0][0] * r[1][1] + r[1][0] * r[0][1]
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Full record of a reduction run: the matrix entering each step, that
+    """Full record of a reduction run: the weights entering each step (a
+    ``WeightMatrix``, or a ``TiledPattern`` when a pattern is reduced), that
     step's extracted factor, and the final value M = product of factors."""
 
-    steps: tuple[tuple[WeightMatrix, Fraction], ...]
+    steps: tuple[tuple[Union[WeightMatrix, TiledPattern], Fraction], ...]
     value: Fraction
 
 
@@ -220,13 +276,47 @@ def evaluate_matrix_trace(m: WeightMatrix) -> ReductionTrace:
     return ReductionTrace(steps=tuple(steps), value=value)
 
 
+def _pattern_steps(pattern: WeightPattern, n: int):
+    """Yield each step of reducing the tiled pattern from order n: the
+    ``TiledPattern`` entering it and its cell powers.  The order-1 step's
+    powers are ``{xz + yw: 1}``, and there xz + yw may be 0."""
+    m = TiledPattern(pattern, n)
+    while m.order > 1:
+        nxt, powers = reduce_step(m)
+        yield m, powers
+        m = nxt
+    if m.order == 1:
+        yield m, {_order_one_value(m): 1}
+
+
+def _product(powers) -> Fraction:
+    return Fraction(0) if 0 in powers else PowerProduct.of(powers).value()
+
+
+def cell_powers(pattern: WeightPattern, n: int) -> Optional[Counter]:
+    """M of the order-n diamond weighted by the tiled pattern, unbuilt: the
+    cell values of every reduction step with their summed multiplicities,
+    ``{v: e}`` with M == prod(v^e), or None when M == 0."""
+    total = Counter()
+    for _, powers in _pattern_steps(pattern, n):
+        total.update(powers)
+    return None if 0 in total else total
+
+
 def evaluate(pattern: WeightPattern, n: int) -> Fraction:
-    """M of the order-n diamond graph weighted by the tiled pattern."""
-    return evaluate_matrix(tile_pattern(pattern, n))
+    """M of the order-n diamond weighted by the tiled pattern."""
+    powers = cell_powers(pattern, n)
+    return Fraction(0) if powers is None else PowerProduct.of(powers).value()
 
 
 def evaluate_trace(pattern: WeightPattern, n: int) -> ReductionTrace:
-    return evaluate_matrix_trace(tile_pattern(pattern, n))
+    """The pattern-level reduction step by step.  Each step's factor is
+    built for the record; the value is built once from the summed powers."""
+    steps, total = [], Counter()
+    for m, powers in _pattern_steps(pattern, n):
+        steps.append((m, _product(powers)))
+        total.update(powers)
+    return ReductionTrace(steps=tuple(steps), value=_product(total))
 
 
 def stanley_eval(pattern: WeightPattern, n: Optional[int] = None) -> Fraction:

@@ -12,8 +12,9 @@ Counts are printed factored over the primes that actually occur in the
 theorems (2, 3, 5, 7, 29, 31, 37), with whatever they do not absorb left
 as a leading unit, followed by the plain value.  A plain value (or trace
 factor) longer than the interpreter's int-to-text digit limit is shown as
-an ``(N digits)`` note instead.  A count whose factored form bounds it
-above ``MAX_VALUE_BITS`` bits is refused, with nothing printed to stdout.
+an ``(N digits)`` note instead.  A count whose factored form (for a
+pattern file, the product of its reduction's cell powers) bounds it above
+``MAX_VALUE_BITS`` bits is refused, with nothing printed to stdout.
 
 Exit status: 0 on success, 2 on usage or input errors and refused counts,
 3 on a mathematical mismatch — a failing verify case, a closed form
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .aztec import ZeroCellFactor, evaluate, evaluate_trace, read_pattern
+from .aztec import ZeroCellFactor, cell_powers, evaluate_trace, read_pattern
 from .formulas import (
     RouteMismatchError,
     blum_value,
@@ -37,7 +38,7 @@ from .formulas import (
     tri_count,
     zigzag_count,
 )
-from .rational import FactoredValue, factorize, plain_str
+from .rational import FactoredValue, PowerProduct, plain_str
 from .verify import SUITE_NAMES, format_report, report_record, run_suite
 
 DISPLAY_PRIMES = (2, 3, 5, 7, 29, 31, 37)
@@ -128,8 +129,9 @@ def _vanishing(exc: ZeroCellFactor, n: int) -> int:
 
 
 # Region -> count from (order, variant), band widths for fortress and
-# (pattern, order) for aztec.  The lambdas look each function up by name
-# when called, so a rebound module attribute takes effect.
+# (pattern, order) for aztec, whose count comes as cell powers (None for no
+# tilings).  The lambdas look each function up by name when called, so a
+# rebound module attribute takes effect.
 _COUNTS = {
     "fortress": lambda parts, variant: fortress_count(parts, variant),
     "zigzag": lambda n, variant: zigzag_count(n, variant),
@@ -137,7 +139,7 @@ _COUNTS = {
     "q": lambda n, _: q_count(n),
     "tri": lambda n, _: tri_count(n),
     "blum": lambda n, _: blum_value(n),
-    "aztec": lambda pn, _: evaluate(*pn),
+    "aztec": lambda pn, _: cell_powers(*pn),
 }
 
 
@@ -162,25 +164,41 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     except ZeroCellFactor as exc:  # only an aztec pattern can have one
         return _vanishing(exc, arg[1])
     if region == "aztec":
-        if value == 0:  # no tilings: there is nothing to factor
+        if value is None:  # no tilings: there is nothing to factor
             print("0 = 0")
             return 0
-        value = factorize(value, DISPLAY_PRIMES)
+        value = PowerProduct.of(value)
     bits = _bit_bound(value)
     if bits > MAX_VALUE_BITS:
         print(f"count too large to build: up to {bits} bits, over the bound of "
               f"{MAX_VALUE_BITS} bits", file=sys.stderr)
         return 2
+    if region == "aztec":
+        value = value.factored(DISPLAY_PRIMES)
     print(f"{value} = {plain_str(value.value())}")
     return 0
 
 
-def _bit_bound(value: FactoredValue) -> int:
+def _bit_bound(value: Union[FactoredValue, PowerProduct]) -> int:
     """Upper bound on the bits of the numerator and denominator together,
-    read from the exponents without building the value."""
-    unit = value.unit
-    return (unit.numerator.bit_length() + unit.denominator.bit_length()
-            + sum(abs(e) * p.bit_length() for p, e in value.powers))
+    read from the exponents without building the value.  The bits of a
+    product are at most the sum of its factors' bits, and b^e has at most
+    e * b.bit_length() bits, exactly e * s + 1 when b == 2^s."""
+    pairs = list(value.powers)
+    if isinstance(value, FactoredValue):
+        pairs += [(value.unit.numerator, 1), (value.unit.denominator, -1)]
+    num = den = 0
+    for b, e in pairs:
+        b = abs(b)
+        if b & (b - 1) == 0:
+            bits = abs(e) * (b.bit_length() - 1) + 1
+        else:
+            bits = abs(e) * b.bit_length()
+        if e > 0:
+            num += bits
+        else:
+            den += bits
+    return max(num, 1) + max(den, 1)
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -202,8 +220,8 @@ def _cmd_trace(args, parser: argparse.ArgumentParser) -> int:
         trace = evaluate_trace(pattern, args.n)
     except ZeroCellFactor as exc:
         return _vanishing(exc, args.n)
-    for i, (matrix, factor) in enumerate(trace.steps, start=1):
-        print(f"step {i:3d} order {matrix.order:3d} factor {plain_str(factor)}")
+    for i, (weights, factor) in enumerate(trace.steps, start=1):
+        print(f"step {i:3d} order {weights.order:3d} factor {plain_str(factor)}")
     print(f"value {plain_str(trace.value)}")
     return 0
 

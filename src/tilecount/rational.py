@@ -11,14 +11,21 @@ in the unit.  The closed-form counting theorems all produce answers of this
 shape (powers of 2 and 5 for fortresses, of 3 for zigzags, and so on), and
 keeping the factored form lets tests assert the *structure* of an answer,
 not just its size.
+
+A product of many small rational powers, such as the cell values of a
+reduction raised to their multiplicities, is kept as a `PowerProduct`: the
+sign times powers of pairwise-coprime integers.  Cancellation then happens
+in the exponents, and the number is built once, with no gcd taken on it.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import gcd, prod
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -115,10 +122,20 @@ class FactoredValue:
         return 0
 
     def value(self) -> Fraction:
-        v = self.unit
+        # the primes are distinct, so only the unit can share a factor with
+        # them; once they are divided out of it, all parts are coprime
+        num, den = self.unit.numerator, self.unit.denominator
+        powers = []
         for p, e in self.powers:
-            v *= Fraction(p) ** e
-        return v
+            while num % p == 0:
+                num //= p
+                e += 1
+            while den % p == 0:
+                den //= p
+                e -= 1
+            powers.append((p, e))
+        powers += [(abs(num), 1), (den, -1)]
+        return _coprime_value(1 if num > 0 else -1, powers)
 
     def times(self, other: "FactoredValue") -> "FactoredValue":
         """Product, merging prime lists (self's order first, then new ones)."""
@@ -141,6 +158,92 @@ class FactoredValue:
         for p, e in self.powers:
             parts.append(f"{p}^{e}")
         return " * ".join(parts)
+
+
+#: The coprime base starts from these primes, so a number made of them
+#: (as the named patterns' cell values are) is split by trial division alone.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _join(base: dict[int, int], x: int, e: int) -> None:
+    """Multiply the product of ``base`` (pairwise-coprime ints > 1 mapped to
+    exponents) by x^e, keeping the elements pairwise coprime.
+
+    Each element is divided out of x as often as it goes, and an element
+    that shares a factor with what is left is split on their gcd.  A split
+    shrinks the product of the numbers in play, so the loop ends.
+    """
+    todo = [(x, e)]
+    while todo:
+        x, e = todo.pop()
+        if e == 0:
+            continue
+        for b in base:
+            while x % b == 0:
+                x //= b
+                base[b] += e
+            g = gcd(x, b)
+            if g > 1:  # b^f x^e == g^(e+f) (b/g)^f (x/g)^e
+                f = base.pop(b)
+                todo += [(g, e + f), (b // g, f), (x // g, e)]
+                break
+        else:
+            if x > 1:
+                base[x] = e
+
+
+def _coprime_value(sign: int, powers) -> Fraction:
+    """``sign * prod(b^e)`` over pairwise-coprime positive integers b."""
+    num = prod(b**e for b, e in powers if e > 0)
+    den = prod(b**-e for b, e in powers if e < 0)
+    value = Fraction(sign * num)
+    # num and den are coprime, so the value is already in lowest terms;
+    # Fraction(num, den) would take their gcd, quadratic in their size.
+    value._denominator = den
+    return value
+
+
+@dataclass(frozen=True)
+class PowerProduct:
+    """A nonzero rational as ``sign * prod(b^e)`` over pairwise-coprime
+    integers b > 1, so that ``value()`` needs no gcd on the result."""
+
+    sign: int
+    powers: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, powers: Mapping[RationalLike, int]) -> "PowerProduct":
+        """``prod(v^e)`` over the given nonzero rationals v."""
+        sign, ints = 1, Counter()
+        for v, e in powers.items():
+            v = Fraction(v)
+            if v == 0:
+                raise ValueError("cannot take a power product of zero")
+            if v < 0 and e % 2:
+                sign = -sign
+            ints[abs(v.numerator)] += e
+            ints[v.denominator] -= e
+        base = dict.fromkeys(_SMALL_PRIMES, 0)
+        for x, e in sorted(ints.items()):  # small numbers first: cheap splits
+            _join(base, x, e)
+        return cls(sign, tuple((b, e) for b, e in base.items() if e))
+
+    def value(self) -> Fraction:
+        return _coprime_value(self.sign, self.powers)
+
+    def factored(self, primes: Sequence[int]) -> FactoredValue:
+        """The value over ``primes``, each base element divided out alone."""
+        _check_primes(primes)
+        exps = dict.fromkeys(primes, 0)
+        rest = []
+        for b, e in self.powers:
+            for p in primes:
+                while b % p == 0:
+                    b //= p
+                    exps[p] += e
+            if b > 1:
+                rest.append((b, e))  # divisors of coprime numbers stay coprime
+        return FactoredValue(_coprime_value(self.sign, rest), exps.items())
 
 
 def factorize(value: RationalLike, primes: Sequence[int]) -> FactoredValue:

@@ -17,7 +17,14 @@ from pathlib import Path
 import pytest
 
 import tilecount
-from tilecount import FactoredValue, evaluate, q_count, s_region_count, zigzag_count
+from tilecount import (
+    FactoredValue,
+    PowerProduct,
+    evaluate,
+    q_count,
+    s_region_count,
+    zigzag_count,
+)
 from tilecount.aztec import parse_pattern
 from tilecount.cli import MAX_VALUE_BITS, _bit_bound, main
 from tilecount.verify import parse_record
@@ -114,6 +121,29 @@ def test_count_refuses_values_over_the_size_bound(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "zigzag", "100000")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and f"{MAX_VALUE_BITS} bits" in err
+
+
+def test_count_pattern_file_at_a_high_order(capsys, tmp_path):
+    path = tmp_path / "ones.pat"
+    path.write_text(ONES)
+    code, out, err = run(capsys, "count", "aztec", str(path), "5000")
+    assert (code, out, err) == (0, "2^12502500 = (3763628 digits)\n", "")
+
+
+def test_count_pattern_file_refuses_values_over_the_size_bound(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "ones.pat"
+    path.write_text(ONES)
+
+    def unbuilt(self):
+        raise AssertionError("the value was built")
+
+    monkeypatch.setattr(FactoredValue, "value", unbuilt)
+    monkeypatch.setattr(PowerProduct, "value", unbuilt)
+    # 2^18003000 has 18003001 bits, and its denominator 1 has one
+    code, out, err = run(capsys, "count", "aztec", str(path), "6000")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "up to 18003002 bits" in err and f"{MAX_VALUE_BITS} bits" in err
 
 
 def test_size_bound_covers_the_value():
@@ -285,3 +315,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2 * 3^5 = 486", proc.stderr
+
+
+def test_size_bound_covers_power_products():
+    for powers in (
+        {2: 100},
+        {Fraction(-3, 4): 7, Fraction(5, 6): -3},
+        {Fraction(1, 1024): 9, 11: 2},
+    ):
+        x = PowerProduct.of(powers).value()
+        assert x.numerator.bit_length() + x.denominator.bit_length() \
+            <= _bit_bound(PowerProduct.of(powers))
+    assert _bit_bound(PowerProduct.of({2: 100})) == 102  # exact for powers of 2
